@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core.errors import QueryError
+from ..core.errors import QueryError, SearchLimitError
 from ..obs.metrics import incr
 from ..obs.trace import span
 from ..ta.zonegraph import ZoneGraph
@@ -172,10 +172,7 @@ class Verifier:
             if best[0] is None or value > best[0]:
                 best[0] = value
 
-        explore(self.graph, on_state=observe,
-                use_inclusion=self.use_inclusion,
-                max_states=self.max_states,
-                evict_waiting=self.evict_waiting)
+        self._explore(on_state=observe)
         return best[0]
 
     def inf(self, value_of):
@@ -187,10 +184,7 @@ class Verifier:
             if best[0] is None or value < best[0]:
                 best[0] = value
 
-        explore(self.graph, on_state=observe,
-                use_inclusion=self.use_inclusion,
-                max_states=self.max_states,
-                evict_waiting=self.evict_waiting)
+        self._explore(on_state=observe)
         return best[0]
 
     # -- reachability queries ----------------------------------------------------
@@ -216,11 +210,21 @@ class Verifier:
                 "A[] not deadlock")
         return lambda state: formula.holds(self.network, state)
 
-    def _check_ef(self, query):
-        result = explore(self.graph, goal=self._goal_predicate(query.formula),
-                         use_inclusion=self.use_inclusion,
+    def _explore(self, **kwargs):
+        """One zone search; a search cut short by ``max_states`` raises
+        :class:`~repro.core.errors.SearchLimitError` instead of yielding
+        a verdict."""
+        result = explore(self.graph, use_inclusion=self.use_inclusion,
                          max_states=self.max_states,
-                         evict_waiting=self.evict_waiting)
+                         evict_waiting=self.evict_waiting, **kwargs)
+        if result.truncated:
+            raise SearchLimitError(
+                f"zone search exceeds {self.max_states} states",
+                limit=self.max_states)
+        return result
+
+    def _check_ef(self, query):
+        result = self._explore(goal=self._goal_predicate(query.formula))
         return VerificationResult(query, result.found, result.witness,
                                   result.trace, result.states_explored)
 

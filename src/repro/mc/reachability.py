@@ -53,17 +53,23 @@ from .explorecore import (
 
 
 class Reachability:
-    """Result of a reachability run."""
+    """Result of a reachability run.
+
+    ``truncated`` is set when the search stopped at ``max_states``
+    before finishing: a negative result then proves nothing.
+    """
 
     __slots__ = ("found", "witness", "trace", "states_explored",
-                 "states_stored")
+                 "states_stored", "truncated")
 
-    def __init__(self, found, witness, trace, states_explored, states_stored):
+    def __init__(self, found, witness, trace, states_explored, states_stored,
+                 truncated=False):
         self.found = found
         self.witness = witness
         self.trace = trace
         self.states_explored = states_explored
         self.states_stored = states_stored
+        self.truncated = truncated
 
     def __bool__(self):
         return self.found
@@ -126,7 +132,10 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
     :class:`~repro.mc.explorecore.PassedWaitingList`).  Returns a
     :class:`Reachability`, whose ``trace`` is the list of (transition,
     state) steps from the initial state to the witness (transition
-    ``None`` for the initial state).
+    ``None`` for the initial state).  A search stopped by
+    ``max_states`` returns with ``truncated`` set rather than raising;
+    :class:`~repro.mc.Verifier` turns that into a
+    :class:`~repro.core.errors.SearchLimitError`.
     """
     collector = active()
     recorder = active_recorder()
@@ -145,6 +154,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
         root.waiting = True
         explored = 0
         result = None
+        truncated = False
         while waiting:
             node = waiting.pop()
             if node.dead:
@@ -168,6 +178,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
                                       explored, passed.size)
                 break
             if max_states is not None and explored >= max_states:
+                truncated = True
                 break
             for transition, succ in graph.successors(state):
                 child = SearchNode(succ, transition, node)
@@ -175,7 +186,8 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
                     waiting.push(child)
                     child.waiting = True
         if result is None:
-            result = Reachability(False, None, None, explored, passed.size)
+            result = Reachability(False, None, None, explored, passed.size,
+                                  truncated)
         sp.set("found", result.found)
         sp.set("states_explored", explored)
         sp.set("states_stored", passed.size)

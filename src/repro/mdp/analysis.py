@@ -7,7 +7,8 @@ model checker (PRISM's role in the paper's Table I):
    or 1 (Prob0/Prob1 for both optimisation directions) — counting-based
    attractor fixpoints over the predecessor CSR built at
    :meth:`~repro.mdp.MDP.finalize` (O(transitions) per fixpoint instead
-   of repeated full-state rescans);
+   of repeated full-state rescans), and Prob1E decided one SCC at a
+   time so its nested fixpoint only iterates inside cyclic components;
 2. vectorised value iteration over the remaining states, run one SCC at
    a time in reverse topological order
    (:func:`repro.mdp.graph.topological_value_iteration`), optionally as
@@ -27,6 +28,7 @@ The pre-core implementations live verbatim in
 from __future__ import annotations
 
 import time
+from itertools import compress
 
 import numpy as np
 
@@ -102,48 +104,95 @@ def prob0_min(mdp, targets):
 def prob1_max(mdp, targets):
     """States where the maximal reachability probability is 1 (Prob1E).
 
-    de Alfaro's nested fixpoint nu X. mu Y, with the inner least
-    fixpoint as a backward traversal over *eligible* actions (support
-    inside X) and eligibility recomputed vectorised per outer round.
+    Decided one SCC at a time in reverse topological order, so every
+    state outside the current component that it can reach is already
+    decided.  An action can only help if its support outside the
+    component lies in Prob1E.  A single-state component joins when it
+    is a target or some action's non-self support is non-empty and
+    inside Prob1E (repeating the action leaves the self-loop almost
+    surely); a larger component runs de Alfaro's nested fixpoint
+    locally (:func:`_prob1_max_component`).
     """
     mdp.finalize()
     g = mdp.graph
     n = mdp.num_states
-    cols = mdp.cols
-    pred_offsets = g.pred_offsets_l
-    pred_trans = g.pred_trans_l
-    trans_action = g.trans_action_l
-    action_state = g.action_state_l
-    target_list = list(set(targets))
-    x_mask = np.ones(n, dtype=bool)
-    x_count = n
+    actions = mdp._actions
+    order, bounds = g.scc_order_l, g.scc_bounds_l
+    is_target = [False] * n
+    for s in targets:
+        is_target[s] = True
+    ones = [False] * n
+    for comp in range(g.scc_count):
+        lo, hi = bounds[comp], bounds[comp + 1]
+        if hi - lo > 1:
+            for s in _prob1_max_component(
+                    actions, order[lo:hi], is_target, ones):
+                ones[s] = True
+            continue
+        s = order[lo]
+        if is_target[s]:
+            ones[s] = True
+            continue
+        for _label, pairs, _r in actions[s]:
+            leaves = False
+            for t, _p in pairs:
+                if t != s:
+                    if not ones[t]:
+                        break
+                    leaves = True
+            else:
+                if leaves:
+                    ones[s] = True
+                    break
+    return set(compress(range(n), ones))
+
+
+def _prob1_max_component(actions, members, is_target, ones):
+    """Prob1E states of one nontrivial SCC, given ``ones`` decided for
+    every state the component can reach outside itself.
+
+    de Alfaro's nested fixpoint nu X. mu Y restricted to the component,
+    with the Prob1E states outside it acting as targets.
+    """
+    inside = set(members)
+    # (state, successors inside, some successor outside) per usable
+    # action: one whose support outside the component is in Prob1E.
+    usable = []
+    for s in members:
+        for _label, pairs, _r in actions[s]:
+            internal = []
+            exits = False
+            for t, _p in pairs:
+                if t in inside:
+                    internal.append(t)
+                elif ones[t]:
+                    exits = True
+                else:
+                    break
+            else:
+                usable.append((s, internal, exits))
+    seeds = {s for s in members if is_target[s]}
+    x = inside
     while True:
-        if len(cols):
-            eligible = np.bincount(
-                g.trans_action,
-                weights=(~x_mask)[cols].astype(np.float64),
-                minlength=mdp.num_actions) == 0
-        else:
-            eligible = np.ones(mdp.num_actions, dtype=bool)
-        eligible = eligible.tolist()
-        y = set(target_list)
+        y = set(seeds)
+        preds = {}
+        for s, internal, exits in usable:
+            if all(t in x for t in internal):
+                if exits:
+                    y.add(s)
+                for t in internal:
+                    preds.setdefault(t, []).append(s)
         stack = list(y)
         while stack:
             t = stack.pop()
-            for k in range(pred_offsets[t], pred_offsets[t + 1]):
-                a = trans_action[pred_trans[k]]
-                if not eligible[a]:
-                    continue
-                s = action_state[a]
+            for s in preds.get(t, ()):
                 if s not in y:
                     y.add(s)
                     stack.append(s)
         # y is a subset of x by monotonicity, so counts decide equality.
-        if len(y) == x_count:
+        if len(y) == len(x):
             return y
-        x_mask = np.zeros(n, dtype=bool)
-        x_mask[list(y)] = True
-        x_count = len(y)
+        x = y
 
 
 def prob1_min(mdp, targets):

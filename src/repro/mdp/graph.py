@@ -8,17 +8,18 @@ Modest Toolset / PRISM explicit engines):
 
 * :class:`GraphCore` — the derived graph structure built once per
   finalize: the *predecessor* CSR (incoming transition indices grouped
-  by target state), owner maps (transition -> action -> state) and an
-  iterative Tarjan SCC decomposition whose component ids are in
-  *reverse topological order* (every successor component of ``C`` has
-  an id smaller than ``C``'s);
+  by target state), owner maps (transition -> action -> state), the
+  states that carry a self-loop, and an iterative Tarjan SCC
+  decomposition whose component ids are in *reverse topological order*
+  (every successor component of ``C`` has an id smaller than ``C``'s),
+  with the states grouped by component in that order;
 * :func:`maximal_end_components` — the standard iterated-SCC MEC
   decomposition, used to make interval iteration's upper sequence
   sound for maximal reachability;
 * :func:`topological_value_iteration` — Jacobi value iteration run
   per SCC in reverse topological order, so acyclic parts of the model
-  are solved with a single backup each and iteration is confined to
-  the components that actually need it.
+  are solved with a single scalar backup each and iteration is
+  confined to the components that actually need it.
 
 The pre-core implementations (full-state set fixpoints, global value
 iteration) are preserved verbatim in :mod:`repro.mdp.reference` as the
@@ -106,15 +107,17 @@ class GraphCore:
     :mod:`repro.mdp.analysis` reads these arrays instead of rescanning
     the per-state action lists.  The ``*_l`` attributes are plain-list
     mirrors of the arrays walked by the O(transitions) attractor
-    fixpoints (Python-int indexing is several times faster than NumPy
-    scalar indexing in those loops).
+    fixpoints and the per-component passes (Python-int indexing is
+    several times faster than NumPy scalar indexing in those loops).
+    The members of component ``c`` are
+    ``scc_order_l[scc_bounds_l[c]:scc_bounds_l[c + 1]]``.
     """
 
     __slots__ = (
         "action_offsets_all", "state_offsets_all", "state_trans_offsets",
         "trans_action", "trans_source", "action_state",
         "pred_offsets", "pred_trans",
-        "scc_of", "scc_count",
+        "scc_of", "scc_count", "scc_order_l", "scc_bounds_l", "self_loop_l",
         "pred_offsets_l", "pred_trans_l",
         "trans_action_l", "trans_source_l", "action_state_l",
     )
@@ -150,6 +153,12 @@ class GraphCore:
         scc_of, self.scc_count = tarjan_scc(
             n, self.state_trans_offsets.tolist(), cols.tolist())
         self.scc_of = np.asarray(scc_of, dtype=np.int64)
+        self.scc_order_l = np.argsort(self.scc_of, kind="stable").tolist()
+        self.scc_bounds_l = [0] + np.cumsum(np.bincount(
+            self.scc_of, minlength=self.scc_count)).tolist()
+        self_loop = np.zeros(n, dtype=bool)
+        self_loop[self.trans_source[cols == self.trans_source]] = True
+        self.self_loop_l = self_loop.tolist()
         self.pred_offsets_l = self.pred_offsets.tolist()
         self.pred_trans_l = self.pred_trans.tolist()
         self.trans_action_l = self.trans_action.tolist()
@@ -254,7 +263,10 @@ def topological_value_iteration(mdp, values, frozen, maximize,
     components first — exactly the id order Tarjan assigns), so by the
     time a component is solved every value it depends on outside itself
     is final.  Trivial components (a single state without a self-loop)
-    take a single Bellman backup; the rest iterate until the in-component
+    take a single Bellman backup, in plain Python floats over a list
+    mirror of ``values`` (the same float operations in the same order as
+    a NumPy backup, so the results are bit-identical, but without NumPy
+    scalar overhead); the rest iterate vectorised until the in-component
     change drops to ``epsilon``.  Returns the total number of backups,
     which the callers flush into the ``mdp.vi_iterations`` counter.
     """
@@ -269,36 +281,47 @@ def topological_value_iteration(mdp, values, frozen, maximize,
     probs, cols = mdp.probs, mdp.cols
     action_offsets_all = g.action_offsets_all
     state_offsets_all = g.state_offsets_all
-    state_trans_offsets = g.state_trans_offsets
     actions = mdp._actions
-    order = np.argsort(g.scc_of, kind="stable")
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(g.scc_of, minlength=g.scc_count))))
+    order, bounds = g.scc_order_l, g.scc_bounds_l
+    self_loop = g.self_loop_l
+    frozen_l = frozen.tolist()
+    if rewards is not None:
+        rewards_l = rewards.tolist()
+        first_action = state_offsets_all.tolist()
+    # The list mirror holds the current values; ``dirty`` lists the
+    # scalar backups not yet written back to ``values``.
+    mirror = values.tolist()
+    dirty = []
     total_iterations = 0
     for comp in range(g.scc_count):
-        members = order[bounds[comp]:bounds[comp + 1]]
-        live = members[~frozen[members]]
-        if live.size == 0:
-            continue
-        if live.size == 1 and members.size == 1:
-            s = int(live[0])
-            lo, hi = state_trans_offsets[s], state_trans_offsets[s + 1]
-            if not np.any(cols[lo:hi] == s):
+        lo, hi = bounds[comp], bounds[comp + 1]
+        if hi - lo == 1:
+            s = order[lo]
+            if frozen_l[s]:
+                continue
+            if not self_loop[s]:
                 # Acyclic state: one backup is exact.
-                base = int(state_offsets_all[s])
                 best = None
                 for offset, (_label, pairs, _r) in enumerate(actions[s]):
                     backup = 0.0
                     for t, p in pairs:
-                        backup += p * values[t]
+                        backup += p * mirror[t]
                     if rewards is not None:
-                        backup += rewards[base + offset]
+                        backup += rewards_l[first_action[s] + offset]
                     if best is None or (backup > best if maximize
                                         else backup < best):
                         best = backup
-                values[s] = best
+                mirror[s] = best
+                dirty.append(s)
                 total_iterations += 1
                 continue
+        members = np.array(order[lo:hi])
+        live = members[~frozen[members]]
+        if live.size == 0:
+            continue
+        if dirty:
+            values[dirty] = [mirror[s] for s in dirty]
+            dirty = []
         acts = concat_ranges(state_offsets_all[live],
                              state_offsets_all[live + 1])
         trans = concat_ranges(action_offsets_all[acts],
@@ -331,4 +354,8 @@ def topological_value_iteration(mdp, values, frozen, maximize,
             raise AnalysisError(
                 f"value iteration did not converge in {max_iterations} "
                 f"iterations")
+        for s, value in zip(live.tolist(), values[live].tolist()):
+            mirror[s] = value
+    if dirty:
+        values[dirty] = [mirror[s] for s in dirty]
     return total_iterations

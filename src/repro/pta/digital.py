@@ -27,9 +27,9 @@ The pre-memoization builder is preserved verbatim in
 from __future__ import annotations
 
 from itertools import product
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
-from ..core.errors import ModelError, SearchLimitError
+from ..core.errors import AnalysisError, ModelError, SearchLimitError
 from ..mdp.model import MDP
 from ..ta.transitions import (
     delay_forbidden,
@@ -149,6 +149,11 @@ class DigitalSemantics:
     in the zone graph) and the per-``(process, location)`` invariant
     atom tables with pre-resolved clock indices.  One instance serves
     any number of builds and simulation runs over the same network.
+
+    The network is held weakly, so a semantics never keeps its network
+    alive (and the :data:`_SEMANTICS` memo entry keyed by it dies with
+    it); once the network is gone, :attr:`network` raises
+    :class:`~repro.core.errors.AnalysisError`.
     """
 
     def __init__(self, network, extra_constants=None):
@@ -157,7 +162,7 @@ class DigitalSemantics:
         from ..mc.explorecore import LRUCache
         from ..ta.zonegraph import DEFAULT_CACHE_SIZE
 
-        self.network = network.freeze()
+        self._network = ref(network.freeze())
         _check_closed_diagonal_free(network)
         self.caps = tuple(c + 1
                           for c in network.max_constants(extra_constants))
@@ -171,6 +176,14 @@ class DigitalSemantics:
                       for atom in location.invariant)
                 for location in process.locations)
             for process in network.processes)
+
+    @property
+    def network(self):
+        network = self._network()
+        if network is None:
+            raise AnalysisError(
+                "the network of this digital-clocks semantics is gone")
+        return network
 
     def invariants_hold(self, locs, clocks):
         for table in map(tuple.__getitem__, self._invariants, locs):
@@ -190,11 +203,11 @@ class DigitalSemantics:
 
     def config_for(self, locs, valuation):
         """The memoised :class:`_DigitalConfig` of a configuration."""
+        network = self.network
         key = (locs, valuation.values)
         config = self._configs.get(key)
         if config is not None:
             return config
-        network = self.network
         transitions = tuple(discrete_transitions(network, locs, valuation))
         fires = []
         for transition in transitions:
@@ -265,8 +278,9 @@ class DigitalSemantics:
                             for v, cap in zip(clocks[1:], self.caps[1:]))
 
 
-#: network -> {constants key -> DigitalSemantics}; weak so dropping the
-#: network drops its memoised tables.
+#: network -> {constants key -> DigitalSemantics}; weak, and the values
+#: hold their network weakly too, so an entry lives exactly as long as
+#: its network.
 _SEMANTICS = WeakKeyDictionary()
 
 

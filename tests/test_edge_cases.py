@@ -111,7 +111,47 @@ class TestSearchCutoffs:
         graph = ZoneGraph(self._unbounded_counter())
         result = explore(graph, goal=lambda s: False, max_states=50)
         assert not result.found
+        assert result.truncated
         assert result.states_explored <= 51
+
+    def test_truncated_search_gives_no_verdict(self):
+        """Capped at 50 states, A[] mutual exclusion on the broken
+        Fischer-4 would read "satisfied"; the full search refutes it at
+        138 states."""
+        from repro.core.errors import SearchLimitError
+        from repro.mc import DataPred
+        from repro.models.fischer import (
+            make_broken_fischer,
+            mutual_exclusion_query,
+        )
+
+        query = mutual_exclusion_query(4)
+        full = Verifier(make_broken_fischer(4)).check(query)
+        assert not full.holds
+        assert full.states_explored == 138
+        capped = Verifier(make_broken_fischer(4), max_states=50)
+        with pytest.raises(SearchLimitError) as exc_info:
+            capped.check(query)
+        assert exc_info.value.limit == 50
+        with pytest.raises(SearchLimitError):
+            capped.check(EF(DataPred(lambda env: False)))
+        with pytest.raises(SearchLimitError):
+            capped.sup(lambda valuation: 0)
+        with pytest.raises(SearchLimitError):
+            capped.inf(lambda valuation: 0)
+
+    def test_truncated_mctau_gives_no_verdict(self):
+        from repro.core.errors import SearchLimitError
+        from repro.modest import Pmax, mctau
+        from repro.models import brp_modest
+
+        # Never reached: the full search proves probability 0, which a
+        # capped search must not claim.
+        source = brp_modest.brp_modest_source(4, 1, 1)
+        properties = [Pmax("never", lambda names, valuation, clocks: False)]
+        assert mctau(source, properties)["never"] == 0.0
+        with pytest.raises(SearchLimitError):
+            mctau(source, properties, max_states=5)
 
     def test_verifier_max_states_liveness(self):
         from repro.core.errors import SearchLimitError

@@ -5,9 +5,10 @@ SCC-topological value iteration, MEC-collapsed interval iteration) and
 the memoised digital-clocks builder against the seed implementations
 preserved verbatim in ``repro.mdp.reference``:
 
-* hypothesis-random MDPs (with end components and zero-reward cycles)
-  must agree on all four Prob0/Prob1 sets exactly and on every value
-  vector within 1e-9;
+* random MDPs from ``tests/mdp_cases.py`` (hypothesis-drawn and
+  seeded; with end components, self-loop-only states, zero-reward
+  cycles and empty target sets) must agree on all four Prob0/Prob1
+  sets exactly and on every value vector within 1e-9;
 * the BRP and firewire digital MDPs must come out structurally
   identical from both builders and solve to the same values;
 * on a hand-built end-component model the *reference* interval
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mdp_cases import random_mdps, seeded_mdps
 
 from repro.core.errors import SearchLimitError
 from repro.mdp import analysis as core
@@ -32,37 +34,7 @@ from repro.pta import build_digital_mdp
 TOL = 1e-9
 
 
-@st.composite
-def random_mdps(draw):
-    """A small random MDP plus a target set.
-
-    States may end up with no explicit action (finalize then adds a
-    self-loop — an end component), supports may loop back (cycles), and
-    rewards are zero-heavy so minimising hits the zero-reward-cycle
-    path.
-    """
-    n = draw(st.integers(2, 7))
-    mdp = MDP("hyp")
-    for _ in range(n):
-        mdp.add_state()
-    for state in range(n):
-        for _ in range(draw(st.integers(0, 3))):
-            k = draw(st.integers(1, min(3, n)))
-            succs = draw(st.lists(st.integers(0, n - 1),
-                                  min_size=k, max_size=k, unique=True))
-            weights = [draw(st.integers(1, 5)) for _ in succs]
-            total = sum(weights)
-            mdp.add_action(
-                state, [(w / total, t) for w, t in zip(weights, succs)],
-                reward=draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])))
-    targets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
-    return mdp, targets
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_mdps())
-def test_prob01_sets_match_reference(case):
-    mdp, targets = case
+def _assert_sets_match(mdp, targets):
     mdp.finalize()
     for new_fn, ref_fn in ((core.prob0_max, ref.prob0_max),
                            (core.prob0_min, ref.prob0_min),
@@ -72,10 +44,7 @@ def test_prob01_sets_match_reference(case):
             new_fn.__name__
 
 
-@settings(max_examples=150, deadline=None)
-@given(random_mdps(), st.booleans())
-def test_values_match_reference(case, maximize):
-    mdp, targets = case
+def _assert_values_match(mdp, targets, maximize):
     truth = ref.reachability_probability(mdp, targets, maximize=maximize)
     values = core.reachability_probability(mdp, targets, maximize=maximize)
     assert np.max(np.abs(values - truth)) <= TOL
@@ -92,11 +61,45 @@ def test_values_match_reference(case, maximize):
     assert np.array_equal(new_inf, ref_inf)
     assert np.all(np.abs(new_r[~new_inf] - ref_r[~ref_inf]) <= TOL)
 
+
+@settings(max_examples=150, deadline=None)
+@given(random_mdps())
+def test_prob01_sets_match_reference(case):
+    _assert_sets_match(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_mdps(), st.booleans())
+def test_values_match_reference(case, maximize):
+    mdp, targets = case
+    _assert_values_match(mdp, targets, maximize)
     for steps in (0, 3, 9):
         assert np.max(np.abs(
             core.bounded_reachability(mdp, targets, steps, maximize)
             - ref.bounded_reachability(mdp, targets, steps, maximize))) \
             <= TOL
+
+
+def test_precomputations_match_reference_on_seeded_mdps():
+    """All four Prob0/Prob1 sets equal the reference exactly, and the
+    values agree, on 300 seeded MDPs that cover every special shape."""
+    shapes = dict.fromkeys(
+        ("nontrivial_scc", "self_loop_only", "multi_action",
+         "no_targets"), 0)
+    for mdp, targets in seeded_mdps(300):
+        _assert_sets_match(mdp, targets)
+        _assert_values_match(mdp, targets, maximize=True)
+        _assert_values_match(mdp, targets, maximize=False)
+        g = mdp.graph
+        shapes["nontrivial_scc"] += g.scc_count < mdp.num_states
+        shapes["self_loop_only"] += any(
+            all(t == s for _l, pairs, _r in mdp.actions_of(s)
+                for t, _p in pairs)
+            for s in range(mdp.num_states))
+        shapes["multi_action"] += any(
+            len(mdp.actions_of(s)) > 1 for s in range(mdp.num_states))
+        shapes["no_targets"] += not targets
+    assert min(shapes.values()) >= 10, shapes
 
 
 class TestEndComponentInterval:

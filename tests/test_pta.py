@@ -1,15 +1,19 @@
 """Tests for PTA syntax, the digital-clocks translation, the
 overapproximation, and the digital simulator."""
 
+import gc
+
 import pytest
 
-from repro.core import ModelError, Declarations
+import repro.pta.digital as digital
+from repro.core import AnalysisError, ModelError, Declarations
 from repro.mdp import expected_total_reward, reachability_probability
 from repro.pta import (
     PTA,
     PTANetwork,
     build_digital_mdp,
     DigitalSimulator,
+    digital_semantics,
     overapproximate_network,
 )
 from repro.ta import clk
@@ -193,3 +197,43 @@ class TestDigitalSimulator:
         sim = DigitalSimulator(net, rng=4)
         run = sim.run(max_time=5)
         assert run.elapsed >= 5
+
+
+class TestSemanticsMemo:
+    """The per-network digital-clocks memo lives exactly as long as its
+    network."""
+
+    def test_mcpta_on_fresh_source_leaves_no_entries(self):
+        from repro.models import brp_modest
+        from repro.modest import Pmax, mcpta
+
+        source = brp_modest.brp_modest_source(4, 1, 1)
+        properties = [Pmax("P1", brp_modest.not_success)]
+        gc.collect()
+        before = len(digital._SEMANTICS)
+        for _ in range(20):
+            mcpta(source, properties)
+        gc.collect()
+        assert len(digital._SEMANTICS) == before
+
+    def test_simulators_of_one_network_share_semantics(self):
+        net = coin_pta()
+        first = DigitalSimulator(net, rng=1)
+        second = DigitalSimulator(net, rng=2)
+        assert first.semantics is second.semantics
+        assert digital_semantics(net) is first.semantics
+
+    def test_semantics_is_unusable_after_its_network_is_gone(self):
+        net = coin_pta()
+        semantics = digital_semantics(net)
+        state = semantics.initial_state()
+        assert semantics.network is net
+        assert net in digital._SEMANTICS
+        del net
+        gc.collect()
+        with pytest.raises(AnalysisError):
+            semantics.network
+        with pytest.raises(AnalysisError):
+            semantics.initial_state()
+        with pytest.raises(AnalysisError):
+            semantics.config_for(state.locs, state.valuation)
