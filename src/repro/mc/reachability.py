@@ -55,8 +55,8 @@ from .explorecore import (
 class Reachability:
     """Result of a reachability run.
 
-    ``truncated`` is set when the search stopped at ``max_states``
-    before finishing: a negative result then proves nothing.
+    ``truncated`` is set when the search stopped at ``max_states`` with
+    a live state still waiting: a negative result then proves nothing.
     """
 
     __slots__ = ("found", "witness", "trace", "states_explored",
@@ -159,6 +159,9 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
             node = waiting.pop()
             if node.dead:
                 continue
+            if max_states is not None and explored >= max_states:
+                truncated = True
+                break
             node.waiting = False
             state = node.state
             explored += 1
@@ -176,9 +179,6 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
             if goal is not None and goal(state):
                 result = Reachability(True, state, reconstruct_trace(node),
                                       explored, passed.size)
-                break
-            if max_states is not None and explored >= max_states:
-                truncated = True
                 break
             for transition, succ in graph.successors(state):
                 child = SearchNode(succ, transition, node)

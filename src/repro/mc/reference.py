@@ -92,7 +92,11 @@ def reference_explore(graph, goal=None, on_state=None, use_inclusion=True,
         waiting = [(initial, ((None, initial),))]
         explored = 0
         result = None
+        truncated = False
         while waiting:
+            if max_states is not None and explored >= max_states:
+                truncated = True
+                break
             state, chain = waiting.pop(0)
             explored += 1
             if explored & 1023 == 0:
@@ -104,13 +108,12 @@ def reference_explore(graph, goal=None, on_state=None, use_inclusion=True,
                 result = Reachability(True, state, list(chain), explored,
                                       passed.size)
                 break
-            if max_states is not None and explored >= max_states:
-                break
             for transition, succ in graph.successors(state):
                 if passed.add_if_new(succ):
                     waiting.append((succ, chain + ((transition, succ),)))
         if result is None:
-            result = Reachability(False, None, None, explored, passed.size)
+            result = Reachability(False, None, None, explored, passed.size,
+                                  truncated)
         sp.set("found", result.found)
         sp.set("states_explored", explored)
         sp.set("states_stored", passed.size)

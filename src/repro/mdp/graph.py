@@ -288,10 +288,9 @@ def topological_value_iteration(mdp, values, frozen, maximize,
     if rewards is not None:
         rewards_l = rewards.tolist()
         first_action = state_offsets_all.tolist()
-    # The list mirror holds the current values; ``dirty`` lists the
-    # scalar backups not yet written back to ``values``.
+    # The list mirror holds the current values as Python floats, so the
+    # acyclic backups below read no numpy scalars.
     mirror = values.tolist()
-    dirty = []
     total_iterations = 0
     for comp in range(g.scc_count):
         lo, hi = bounds[comp], bounds[comp + 1]
@@ -311,17 +310,13 @@ def topological_value_iteration(mdp, values, frozen, maximize,
                     if best is None or (backup > best if maximize
                                         else backup < best):
                         best = backup
-                mirror[s] = best
-                dirty.append(s)
+                mirror[s] = values[s] = best
                 total_iterations += 1
                 continue
         members = np.array(order[lo:hi])
         live = members[~frozen[members]]
         if live.size == 0:
             continue
-        if dirty:
-            values[dirty] = [mirror[s] for s in dirty]
-            dirty = []
         acts = concat_ranges(state_offsets_all[live],
                              state_offsets_all[live + 1])
         trans = concat_ranges(action_offsets_all[acts],
@@ -356,6 +351,4 @@ def topological_value_iteration(mdp, values, frozen, maximize,
                 f"iterations")
         for s, value in zip(live.tolist(), values[live].tolist()):
             mirror[s] = value
-    if dirty:
-        values[dirty] = [mirror[s] for s in dirty]
     return total_iterations

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from repro.mdp.model import MDP
 
+MAX_STATES = 8
 
-def random_mdp(rng, max_states=8):
+
+def random_mdp(rng):
     """``(mdp, targets)`` drawn from ``rng``; the MDP is not finalized."""
-    n = rng.randint(2, max_states)
+    n = rng.randint(2, MAX_STATES)
     mdp = MDP("random")
     for _ in range(n):
         mdp.add_state()
@@ -44,13 +46,11 @@ def random_mdp(rng, max_states=8):
     return mdp, targets
 
 
-def random_mdps(max_states=8):
+def random_mdps():
     """Hypothesis strategy of :func:`random_mdp` cases."""
-    return st.randoms(use_true_random=False).map(
-        lambda rng: random_mdp(rng, max_states))
+    return st.randoms(use_true_random=False).map(random_mdp)
 
 
-def seeded_mdps(count, max_states=8):
+def seeded_mdps(count):
     """``count`` cases, the ``i``-th drawn from ``random.Random(i)``."""
-    return [random_mdp(random.Random(seed), max_states)
-            for seed in range(count)]
+    return [random_mdp(random.Random(seed)) for seed in range(count)]

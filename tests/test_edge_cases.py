@@ -140,6 +140,28 @@ class TestSearchCutoffs:
         with pytest.raises(SearchLimitError):
             capped.inf(lambda valuation: 0)
 
+    def test_search_that_fits_the_cap_exactly_gives_a_verdict(self):
+        """A cap equal to the full state count leaves nothing unexpanded,
+        so the search is complete; one state fewer is truncated."""
+        from repro.core.errors import SearchLimitError
+        from repro.models.fischer import (
+            make_broken_fischer,
+            make_fischer,
+            mutual_exclusion_query,
+        )
+
+        query = mutual_exclusion_query(4)
+        exact = Verifier(make_fischer(4), max_states=268).check(query)
+        assert exact.holds
+        assert exact.states_explored == 268
+        assert Verifier(make_fischer(4), max_states=268).sup(
+            lambda valuation: 0) == 0
+        with pytest.raises(SearchLimitError):
+            Verifier(make_fischer(4), max_states=267).check(query)
+        broken = Verifier(make_broken_fischer(4), max_states=138).check(query)
+        assert not broken.holds
+        assert broken.states_explored == 138
+
     def test_truncated_mctau_gives_no_verdict(self):
         from repro.core.errors import SearchLimitError
         from repro.modest import Pmax, mctau

@@ -239,8 +239,9 @@ class TestEngineEquivalence:
         for kwargs in ({"max_states": 40}, {"use_inclusion": False}):
             ref, ref_stats, _ = _run("reference", make_fischer(3), **kwargs)
             new, new_stats, _ = _run("cached", network, **kwargs)
-            assert (new.states_explored, new.states_stored) == \
-                (ref.states_explored, ref.states_stored)
+            assert (new.states_explored, new.states_stored,
+                    new.truncated) == \
+                (ref.states_explored, ref.states_stored, ref.truncated)
             assert new_stats == ref_stats
 
     def test_dfs_order_explores_same_states(self):
