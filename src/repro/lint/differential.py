@@ -206,8 +206,7 @@ def _check_explore(gate, model_name, network_a, network_b):
                   on_state=lambda s: configs_k.add(s.discrete_key()),
                   evict_waiting=False)
     ref = reference_explore(
-        ZoneGraph(network_b, intern_zones=False, cache_size=0,
-                  abstraction="k"))
+        ZoneGraph(network_b, intern_zones=False, abstraction="k"))
     for field in ("found", "states_explored", "states_stored"):
         mine, theirs = getattr(new, field), getattr(ref, field)
         gate.record(

@@ -32,7 +32,7 @@ from .explorecore import (
     reconstruct_trace,
 )
 from .parser import parse_query
-from .reachability import PassedList, Reachability, build_graph, explore
+from .reachability import Reachability, build_graph, explore
 from .liveness import materialise
 from .deadlock import deadlocked_part, has_deadlock
 from .engine import VerificationResult, Verifier
@@ -45,7 +45,7 @@ __all__ = [
     "Frontier", "LRUCache", "PassedWaitingList", "SearchLimitError",
     "SearchNode", "TraceNode", "ZoneStore", "reconstruct_trace",
     "parse_query",
-    "PassedList", "Reachability", "build_graph", "explore", "materialise",
+    "Reachability", "build_graph", "explore", "materialise",
     "deadlocked_part", "has_deadlock",
     "VerificationResult", "Verifier",
 ]

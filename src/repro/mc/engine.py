@@ -37,15 +37,13 @@ class VerificationResult:
 class Verifier:
     """Zone-based model checker for a network of timed automata."""
 
-    def __init__(self, network, extrapolate=True, use_inclusion=True,
+    def __init__(self, network, use_inclusion=True,
                  extra_constants=None, max_states=200000,
                  abstraction="lu+", evict_waiting=True):
         self.network = network
-        self.extrapolate = extrapolate
         self.abstraction = abstraction
         self._extra = dict(extra_constants) if extra_constants else {}
-        self.graph = ZoneGraph(network, extrapolate=extrapolate,
-                               extra_constants=extra_constants,
+        self.graph = ZoneGraph(network, extra_constants=extra_constants,
                                abstraction=abstraction)
         self.use_inclusion = use_inclusion
         self.evict_waiting = evict_waiting
@@ -79,8 +77,8 @@ class Verifier:
                 and self._contains_deadlock_atom(query):
             if self._k_graph is None:
                 self._k_graph = ZoneGraph(
-                    self.network, extrapolate=self.extrapolate,
-                    extra_constants=self._extra, abstraction="k")
+                    self.network, extra_constants=self._extra,
+                    abstraction="k")
             self.graph = self._k_graph
         try:
             with span("mc.check", query=type(query).__name__) as sp:
@@ -139,7 +137,6 @@ class Verifier:
                 changed = True
         if changed:
             self.graph = ZoneGraph(self.network,
-                                   extrapolate=self.extrapolate,
                                    extra_constants=self._extra,
                                    abstraction=self.abstraction)
             self._full_graph = None

@@ -25,24 +25,22 @@ differential testing and benchmarking.
 Both entry points are instrumented through :mod:`repro.obs`: with a
 collector installed they flush states-explored / passed-list / zone
 counters at the end of the search (plus the physical
-``mc.zone_interned`` / ``mc.succ_cache_hits`` cache deltas), emit a
-``mc.explore`` span, and send periodic
-:func:`~repro.obs.progress.heartbeat` events.  With a flight recorder
-active (:func:`repro.obs.flight.recording`) the same deterministic
-checkpoints additionally sample ``mc.explore.*`` time series
-(frontier / passed-list / zone-store sizes) and the searches log
-``mc.explore.done`` / ``mc.build_graph.done`` events.  All counting in
-the search loop itself is plain-int arithmetic, so the overhead with
-observability off is nil (the recorder costs one contextvar lookup per
-call, not per state).
+``mc.zone_interned`` / ``mc.succ_cache_hits`` cache deltas) and emit a
+``mc.explore`` span.  Every 1024 states they make one
+:func:`~repro.obs.observation.checkpoint` call, which feeds the
+progress heartbeat and the flight recorder's ``mc.explore.*`` time
+series (frontier / passed-list / zone-store sizes); the searches log
+``mc.explore.done`` / ``mc.build_graph.done`` flight events.  All
+counting in the search loop itself is plain-int arithmetic, so the
+overhead with observability off is nil.
 """
 
 from __future__ import annotations
 
 from ..core.errors import SearchLimitError
-from ..obs.flight import active_recorder
+from ..obs import flight
 from ..obs.metrics import active
-from ..obs.progress import heartbeat
+from ..obs.observation import checkpoint
 from ..obs.trace import span
 from .explorecore import (
     Frontier,
@@ -77,11 +75,6 @@ class Reachability:
     def __repr__(self):
         return (f"Reachability(found={self.found}, "
                 f"explored={self.states_explored})")
-
-
-#: Back-compatible name: the passed list now *is* the unified
-#: passed/waiting store of the exploration core.
-PassedList = PassedWaitingList
 
 
 def _cache_snapshot(graph):
@@ -138,9 +131,7 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
     :class:`~repro.core.errors.SearchLimitError`.
     """
     collector = active()
-    recorder = active_recorder()
-    telemetry = getattr(graph, "telemetry", None) \
-        if recorder is not None else None
+    telemetry = getattr(graph, "telemetry", dict)
     stats = getattr(graph, "stats", None)
     zones_before = stats.snapshot() if stats is not None else None
     caches_before = _cache_snapshot(graph)
@@ -166,14 +157,9 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
             state = node.state
             explored += 1
             if explored & 1023 == 0:
-                heartbeat("mc.explore", explored,
-                          waiting=len(waiting), stored=passed.size)
-                if recorder is not None:
-                    recorder.sample("mc.explore", explored=explored,
-                                    waiting=len(waiting),
-                                    stored=passed.size,
-                                    **(telemetry() if telemetry is not None
-                                       else {}))
+                checkpoint("mc.explore", explored, explored=explored,
+                           waiting=len(waiting), stored=passed.size,
+                           **telemetry())
             if on_state is not None:
                 on_state(state)
             if goal is not None and goal(state):
@@ -191,9 +177,8 @@ def explore(graph, goal=None, on_state=None, use_inclusion=True,
         sp.set("found", result.found)
         sp.set("states_explored", explored)
         sp.set("states_stored", passed.size)
-        if recorder is not None:
-            recorder.log("mc.explore.done", found=result.found,
-                         explored=explored, stored=passed.size)
+        flight.log("mc.explore.done", found=result.found,
+                   explored=explored, stored=passed.size)
     if collector is not None:
         _record_search(collector, result, passed, graph, zones_before,
                        caches_before)
@@ -214,7 +199,6 @@ def build_graph(graph, max_states=200000):
     :class:`~repro.core.errors.SearchLimitError`.
     """
     interned = getattr(graph, "zone_store", None) is not None
-    recorder = active_recorder()
 
     def node_key(state):
         if interned:
@@ -242,12 +226,8 @@ def build_graph(graph, max_states=200000):
                     nodes.append(succ)
                     waiting.push(j)
                     if len(nodes) & 1023 == 0:
-                        heartbeat("mc.build_graph", len(nodes),
-                                  waiting=len(waiting))
-                        if recorder is not None:
-                            recorder.sample("mc.build_graph",
-                                            states=len(nodes),
-                                            waiting=len(waiting))
+                        checkpoint("mc.build_graph", len(nodes),
+                                   states=len(nodes), waiting=len(waiting))
                     if len(nodes) > max_states:
                         raise SearchLimitError(
                             f"symbolic graph exceeds {max_states} states",
@@ -257,8 +237,7 @@ def build_graph(graph, max_states=200000):
         while len(edges) < len(nodes):
             edges.append([])
         sp.set("graph_states", len(nodes))
-        if recorder is not None:
-            recorder.log("mc.build_graph.done", states=len(nodes))
+        flight.log("mc.build_graph.done", states=len(nodes))
     collector = active()
     if collector is not None:
         collector.incr("mc.graph_states", len(nodes))

@@ -1,37 +1,37 @@
-"""Unified observability: metrics, tracing, progress, reports.
+"""Unified observability: one observation scope for every engine.
 
 One layer across every analysis engine (``mc``, ``smc``, ``pta``,
-``bip``, ``tiga``, ``cora``, ``modest``, ``runtime``):
+``bip``, ``tiga``, ``cora``, ``modest``, ``runtime``).  A single
+installed :class:`~repro.obs.observation.Observation` holds the five
+observers of a session, and the installers below each set one field of
+it for a ``with`` body:
 
-* :mod:`repro.obs.metrics` — counters / gauges / histograms / timers in
-  a context-installed :class:`Collector`;
+* :mod:`repro.obs.metrics` — counters / gauges / max gauges /
+  histograms / timers in a :class:`Collector` (:func:`collecting`);
 * :mod:`repro.obs.trace` — hierarchical spans, exportable as JSON and
-  Chrome trace-event format;
-* :mod:`repro.obs.progress` — opt-in heartbeats (runs completed, states
-  explored, ETA) for long analyses;
+  Chrome trace-event format (:func:`tracing`);
+* :mod:`repro.obs.progress` — rate-limited heartbeats with an EWMA ETA
+  (:func:`progress`);
 * :mod:`repro.obs.profiler` — a zero-dependency statistical sampling
-  profiler producing mergeable collapsed-stack profiles (flamegraph /
-  top-N-hotspot export), shipped home per worker by the parallel
-  runtime exactly like collector snapshots;
-* :mod:`repro.obs.resources` — peak-RSS / heap / GC readings recorded
-  as max-merge gauges;
+  profiler producing mergeable collapsed-stack profiles
+  (:func:`profiling`);
 * :mod:`repro.obs.flight` — the flight recorder: a bounded structured
-  event log, in-flight telemetry time series sampled at the engines'
-  heartbeat checkpoints, and a stall watchdog (``repro.flight/1``,
-  crash-preserved JSONL tail), shipped home per worker like collector
-  snapshots;
-* :mod:`repro.obs.dashboard` — ``python -m repro.obs.dashboard``: a
-  report + flight recording (+ optional run history) rendered into one
-  self-contained HTML file (tables, span timeline, time-series charts,
-  flamegraph, event tail);
-* :mod:`repro.obs.runstore` — the persistent, append-only
-  ``repro.runs/1`` JSONL run history (fingerprint-keyed, git SHA +
-  timestamp per record);
-* :mod:`repro.obs.diff` — run-to-run comparison with hot-function
-  regression attribution (``python -m repro.obs.report diff A B``);
-* :mod:`repro.obs.report` — summary tables plus the schema-versioned
-  JSON CI artifact (imported on demand: it pulls engine modules for its
-  demo session).
+  event log, in-flight time series and a stall watchdog
+  (``repro.flight/1``, crash-preserved JSONL tail; :func:`recording`).
+
+Engines report each checkpoint with one :func:`checkpoint` call, which
+feeds both the progress heartbeat and the flight series.  The parallel
+runtime runs every task under a fresh worker-side observation and
+merges its one snapshot home in task order
+(:meth:`Observation.merge`).
+
+Around the scope: :mod:`repro.obs.resources` (peak-RSS / heap / GC
+readings as max-merge gauges), :mod:`repro.obs.runstore` (the
+append-only ``repro.runs/1`` run history), :mod:`repro.obs.diff`
+(run-to-run comparison with hot-function attribution),
+:mod:`repro.obs.dashboard` (one self-contained HTML file) and
+:mod:`repro.obs.report` (summary tables and the schema-versioned
+``repro.obs/1`` CI artifact; imported on demand).
 
 Everything is **off by default** and costs one context-variable lookup
 per engine-boundary event when off; see ``docs/OBSERVABILITY.md`` and
@@ -53,6 +53,7 @@ from .metrics import (
     set_max,
     timed,
 )
+from .observation import Observation, checkpoint
 from .profiler import (
     Profile,
     Profiler,
@@ -69,6 +70,7 @@ __all__ = [
     "Collector", "Counter", "Gauge", "Histogram", "MaxGauge",
     "active", "collecting", "incr", "observe", "set_gauge", "set_max",
     "timed",
+    "Observation", "checkpoint",
     "Profile", "Profiler", "active_profiler", "profile_record",
     "profiling",
     "ProgressEvent", "heartbeat", "progress",

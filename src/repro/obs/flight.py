@@ -15,10 +15,11 @@ module is that trajectory view:
   and :func:`recording` can dump them as JSONL through an exception /
   ``atexit`` hook.
 * **Telemetry time series** — bounded per-name ``(t, value)`` traces
-  (:meth:`FlightRecorder.sample`) fed by the engines at their existing
-  coarse heartbeat checkpoints: waiting/passed/zone-store sizes during
-  exploration, Bellman residuals during value iteration, the SPRT LLR
-  walk, estimate±CI evolution, and opportunistic RSS readings.
+  (:meth:`FlightRecorder.sample`) fed by every engine
+  :func:`~repro.obs.observation.checkpoint`: waiting/passed/zone-store
+  sizes during exploration, Bellman residuals during value iteration,
+  the SPRT LLR walk, estimate±CI evolution, and opportunistic RSS
+  readings.
 * **Stall watchdog** — a daemon thread (:class:`StallWatchdog`) that
   flags a recording whose beat (any log/sample/merge) has been silent
   past a configurable window: it logs one ``obs.stall`` warning event
@@ -26,11 +27,9 @@ module is that trajectory view:
   same ``sys._current_frames`` unwinding the sampling profiler uses)
   and counts ``obs.stalls`` on the session collector.
 
-Like every other ambient observer, the recorder is **off by default**:
-without a :func:`recording` scope the module helpers are single
-context-variable lookups, and the engines hoist that lookup to one per
-analysis call, so the per-checkpoint cost with no recorder installed is
-a single ``is None`` test.
+Like every other observer, the recorder is **off by default**: without
+a :func:`recording` scope a checkpoint and the module helpers cost one
+lookup of the installed observation.
 
 Determinism contract (asserted by ``tests/test_flight.py``): event
 *timestamps* are physical (per-process monotonic seconds since the
@@ -39,14 +38,13 @@ worker id — but event *sequences* and time-series *sample counts* for
 everything not named ``obs.*`` / ``runtime.*`` are logical: fixed-budget
 serial, parallel, and fault-recovered campaigns produce identical
 merged sequences, because workers record under a fresh per-task
-recorder whose snapshot ships home with the result and merges **in
+observation whose snapshot ships home with the result and merges **in
 task order** (a failed attempt's recording dies with its worker), and
 the coordinator samples at seed-deterministic run positions.
 """
 
 from __future__ import annotations
 
-import contextvars
 import json
 import sys
 import threading
@@ -54,6 +52,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
+from .observation import CURRENT, installed
 from .trace import current_span_name, epoch_relative
 
 #: Bump the suffix on breaking changes to the recording layout.
@@ -370,18 +369,15 @@ def logical_series(series):
 
 # -- the ambient recorder --------------------------------------------------------
 
-_ACTIVE = contextvars.ContextVar("repro_obs_flight", default=None)
-
-
 def active_recorder():
-    """The recorder installed by the innermost :func:`recording` scope,
-    or ``None`` — flight recording is off by default."""
-    return _ACTIVE.get()
+    """The recorder of the installed observation, or ``None`` — flight
+    recording is off by default."""
+    return CURRENT.get().recorder
 
 
 def log(name, level="info", **fields):
     """Log an event on the active recorder (no-op when off)."""
-    recorder = _ACTIVE.get()
+    recorder = CURRENT.get().recorder
     if recorder is not None:
         return recorder.log(name, level=level, **fields)
     return None
@@ -389,9 +385,10 @@ def log(name, level="info", **fields):
 
 def sample(prefix, **values):
     """Record time-series points on the active recorder (no-op when
-    off).  Engines hoist :func:`active_recorder` out of their hot loops
-    instead of calling this per checkpoint."""
-    recorder = _ACTIVE.get()
+    off).  Engines report through
+    :func:`~repro.obs.observation.checkpoint`, which also feeds the
+    progress heartbeat."""
+    recorder = CURRENT.get().recorder
     if recorder is not None:
         recorder.sample(prefix, **values)
 
@@ -411,16 +408,14 @@ def recording(recorder=None, capacity=DEFAULT_CAPACITY, level="debug",
     """
     import atexit
 
-    from .metrics import active
-
     rec = recorder if recorder is not None else FlightRecorder(
         capacity=capacity, level=level, run_id=run_id)
     if run_id is not None and rec.run_id is None:
         rec.run_id = run_id
-    token = _ACTIVE.set(rec)
     watchdog = None
     if stall_after is not None:
-        watchdog = StallWatchdog(rec, stall_after, collector=active())
+        watchdog = StallWatchdog(rec, stall_after,
+                                 collector=CURRENT.get().collector)
         watchdog.start()
 
     def _atexit_dump():
@@ -432,7 +427,8 @@ def recording(recorder=None, capacity=DEFAULT_CAPACITY, level="debug",
     if crash_dump is not None:
         atexit.register(_atexit_dump)
     try:
-        yield rec
+        with installed(recorder=rec):
+            yield rec
     except BaseException:
         if crash_dump is not None:
             try:
@@ -445,4 +441,3 @@ def recording(recorder=None, capacity=DEFAULT_CAPACITY, level="debug",
             atexit.unregister(_atexit_dump)
         if watchdog is not None:
             watchdog.stop()
-        _ACTIVE.reset(token)

@@ -2,9 +2,9 @@
 
 Every analysis engine records what it did — states explored, zones
 created, runs simulated, verdicts reached — through one *collector*.
-The collector is installed with :func:`collecting` and discovered via a
-context variable, so engines record without plumbing a registry argument
-through every call:
+The collector is installed with :func:`collecting` as a field of the one
+installed :class:`~repro.obs.observation.Observation`, so engines record
+without plumbing a registry argument through every call:
 
     with collecting() as collector:
         verifier.check("E<> Train(0).Cross")
@@ -33,11 +33,12 @@ Design constraints (and how they are met):
 
 from __future__ import annotations
 
-import contextvars
 import math
 import threading
 import time
 from contextlib import contextmanager
+
+from .observation import CURRENT, installed
 
 
 class Counter:
@@ -262,13 +263,10 @@ class Collector:
 
 # -- the ambient collector ------------------------------------------------------
 
-_ACTIVE = contextvars.ContextVar("repro_obs_collector", default=None)
-
-
 def active():
-    """The collector installed by the innermost :func:`collecting`
-    scope, or ``None`` — observability is off by default."""
-    return _ACTIVE.get()
+    """The collector of the installed observation, or ``None`` —
+    observability is off by default."""
+    return CURRENT.get().collector
 
 
 @contextmanager
@@ -276,23 +274,20 @@ def collecting(collector=None):
     """Install ``collector`` (a fresh one when omitted) as the ambient
     collector for the ``with`` body and yield it."""
     col = collector if collector is not None else Collector()
-    token = _ACTIVE.set(col)
-    try:
+    with installed(collector=col):
         yield col
-    finally:
-        _ACTIVE.reset(token)
 
 
 def incr(name, n=1):
     """Increment a counter on the active collector (no-op when off)."""
-    col = _ACTIVE.get()
+    col = CURRENT.get().collector
     if col is not None:
         col.incr(name, n)
 
 
 def set_gauge(name, value):
     """Set a gauge on the active collector (no-op when off)."""
-    col = _ACTIVE.get()
+    col = CURRENT.get().collector
     if col is not None:
         col.set_gauge(name, value)
 
@@ -300,7 +295,7 @@ def set_gauge(name, value):
 def set_max(name, value):
     """Record a high-water mark on the active collector (no-op when
     off); max gauges keep — and merge by — the maximum."""
-    col = _ACTIVE.get()
+    col = CURRENT.get().collector
     if col is not None:
         col.set_max(name, value)
 
@@ -308,7 +303,7 @@ def set_max(name, value):
 def observe(name, value):
     """Observe a histogram value on the active collector (no-op when
     off)."""
-    col = _ACTIVE.get()
+    col = CURRENT.get().collector
     if col is not None:
         col.observe(name, value)
 
@@ -316,7 +311,7 @@ def observe(name, value):
 @contextmanager
 def timed(name):
     """Time the ``with`` body into histogram ``name`` (no-op when off)."""
-    col = _ACTIVE.get()
+    col = CURRENT.get().collector
     if col is None:
         yield None
         return

@@ -24,11 +24,11 @@ Design constraints (and how they are met):
   crosses a process boundary; :meth:`Profile.to_dict` is a plain
   picklable snapshot and :meth:`Profile.merge` folds one in, summing
   per-stack counts.  :class:`~repro.runtime.ParallelExecutor` runs each
-  task under a fresh worker-side profiler and merges the snapshots home
-  **in task order**, so a parallel campaign's merged profile equals the
-  serial run's logical profile (sample counts sum; a failed attempt's
-  profile dies with its worker and is never merged — replayed tasks
-  cannot double-count).
+  task under a fresh worker-side observation whose snapshot carries the
+  profile home and merges **in task order**, so a parallel campaign's
+  merged profile equals the serial run's logical profile (sample
+  counts sum; a failed attempt's profile dies with its worker and is
+  never merged — replayed tasks cannot double-count).
 * **Deterministic where it matters.**  Wall-clock sampling is
   inherently stochastic, but the *merge algebra* is exact; ``hz=0``
   gives a manual-mode profiler whose only samples come from
@@ -43,12 +43,13 @@ Like metrics and tracing, profiling is **off by default**: without a
 
 from __future__ import annotations
 
-import contextvars
 import os
 import sys
 import threading
 import time
 from contextlib import contextmanager
+
+from .observation import CURRENT, installed
 
 #: Default sampling rate; ~10 ms between samples keeps the measured
 #: duty cycle well under the 5 % overhead bound asserted in CI.
@@ -259,19 +260,13 @@ class Profiler:
         self.profile.wall_seconds += time.perf_counter() - self._started_at
         self._started_at = None
         if self.hz > 0:
-            from .metrics import active
-
-            collector = active()
+            collector = CURRENT.get().collector
             if collector is not None:
                 collector.incr("obs.profile.samples",
                                self.profile.samples)
                 collector.set_max("obs.profile.overhead",
                                   round(self.profile.overhead_ratio, 6))
         return self.profile
-
-    def merge_snapshot(self, snapshot):
-        """Fold a worker-side profile snapshot in (executor hook)."""
-        self.profile.merge(snapshot)
 
     def _sample_loop(self):
         interval = 1.0 / self.hz
@@ -292,13 +287,10 @@ class Profiler:
 
 # -- the ambient profiler --------------------------------------------------------
 
-_ACTIVE = contextvars.ContextVar("repro_obs_profiler", default=None)
-
-
 def active_profiler():
-    """The profiler installed by the innermost :func:`profiling` scope,
-    or ``None`` — profiling is off by default."""
-    return _ACTIVE.get()
+    """The profiler of the installed observation, or ``None`` —
+    profiling is off by default."""
+    return CURRENT.get().profiler
 
 
 @contextmanager
@@ -307,13 +299,12 @@ def profiling(hz=DEFAULT_HZ, profiler=None):
     ambient profiler for the ``with`` body, started on entry and
     stopped on exit; yields the profiler."""
     prof = profiler if profiler is not None else Profiler(hz=hz)
-    token = _ACTIVE.set(prof)
-    prof.start()
-    try:
-        yield prof
-    finally:
-        prof.stop()
-        _ACTIVE.reset(token)
+    with installed(profiler=prof):
+        prof.start()
+        try:
+            yield prof
+        finally:
+            prof.stop()
 
 
 def profile_record(stack, n=1):
@@ -321,6 +312,6 @@ def profile_record(stack, n=1):
     profile (no-op when profiling is off).  The deterministic sample
     source: tests and synthetic workloads use it to make merged
     profiles exactly reproducible."""
-    prof = _ACTIVE.get()
+    prof = CURRENT.get().profiler
     if prof is not None:
         prof.profile.record(stack, n)

@@ -12,10 +12,11 @@ cost when nobody is listening:
     with progress(show, min_interval=1.0):
         probability_estimate(network, predicate, horizon=100, runs=10**6)
 
-Engines call :func:`heartbeat` at coarse checkpoints (every N states or
-once per batch); the scope rate-limits delivery to ``min_interval``
-seconds so callbacks stay cheap even when checkpoints are frequent.
-Without a scope, :func:`heartbeat` is a single context-variable lookup.
+Engines call :func:`~repro.obs.observation.checkpoint` at coarse
+checkpoints (every N states or runs, once per sweep); the scope
+rate-limits delivery to ``min_interval`` seconds so callbacks stay
+cheap even when checkpoints are frequent.  Without a scope a
+checkpoint is a single lookup of the installed observation.
 
 ``rate`` (and therefore ``eta``) is an exponentially weighted moving
 average of the *recent* throughput, not the whole-run mean: zone graphs
@@ -26,9 +27,10 @@ finishing speed and makes the ETA collapse only at the very end.
 
 from __future__ import annotations
 
-import contextvars
 import time
 from contextlib import contextmanager
+
+from .observation import CURRENT, installed
 
 #: Smoothing factor of the per-kind EWMA rate: each delivered heartbeat
 #: contributes 30% of the new instantaneous rate, so the estimate
@@ -81,6 +83,19 @@ class _Sink:
         # kind -> (done, time, ewma rate) of the last delivered event.
         self._kinds = {}
 
+    def beat(self, kind, done, total, info, force=False):
+        """Deliver one heartbeat unless it is rate-limited away;
+        returns the :class:`ProgressEvent` or ``None``."""
+        now = self.clock()
+        if not force and now - self.last_emit < self.min_interval:
+            return None
+        self.last_emit = now
+        elapsed = now - self.started
+        rate = self.ewma_rate(kind, done, now, elapsed)
+        event = ProgressEvent(kind, done, total, elapsed, info, rate=rate)
+        self.callback(event)
+        return event
+
     def ewma_rate(self, kind, done, now, elapsed):
         """Fold one delivered heartbeat into the per-kind EWMA rate."""
         previous = self._kinds.get(kind)
@@ -101,9 +116,6 @@ class _Sink:
         return rate
 
 
-_ACTIVE = contextvars.ContextVar("repro_obs_progress", default=None)
-
-
 @contextmanager
 def progress(callback, min_interval=0.5, clock=time.perf_counter):
     """Install ``callback(event)`` as the progress sink for the ``with``
@@ -111,11 +123,8 @@ def progress(callback, min_interval=0.5, clock=time.perf_counter):
     dropped (except forced ones).  ``clock`` is injectable so rate/ETA
     behaviour is testable without sleeping."""
     sink = _Sink(callback, min_interval, clock)
-    token = _ACTIVE.set(sink)
-    try:
+    with installed(progress=sink):
         yield sink
-    finally:
-        _ACTIVE.reset(token)
 
 
 def heartbeat(kind, done, total=None, force=False, **info):
@@ -124,16 +133,10 @@ def heartbeat(kind, done, total=None, force=False, **info):
     Returns the delivered :class:`ProgressEvent`, or ``None`` when no
     sink is installed or the heartbeat was rate-limited away.  ``force``
     bypasses rate limiting (use for final / terminal heartbeats).
+    Engines report through :func:`~repro.obs.observation.checkpoint`,
+    which also feeds the flight recorder.
     """
-    sink = _ACTIVE.get()
+    sink = CURRENT.get().progress
     if sink is None:
         return None
-    now = sink.clock()
-    if not force and now - sink.last_emit < sink.min_interval:
-        return None
-    sink.last_emit = now
-    elapsed = now - sink.started
-    rate = sink.ewma_rate(kind, done, now, elapsed)
-    event = ProgressEvent(kind, done, total, elapsed, info, rate=rate)
-    sink.callback(event)
-    return event
+    return sink.beat(kind, done, total, info, force)

@@ -12,7 +12,7 @@ spans, and engine-specific attributes:
 
 Like the metrics collector, tracing is off by default: without a
 :func:`tracing` scope, :func:`span` yields a shared null span whose
-``set`` is a no-op and adds only a context-variable lookup.
+``set`` is a no-op and adds only the observation lookup.
 
 Span attributes carry the *per-phase* view of quantities whose *totals*
 live in the metrics registry (see :mod:`repro.obs.metrics`); engines
@@ -24,9 +24,10 @@ session-wide ``mc.states_explored`` total.
 
 from __future__ import annotations
 
-import contextvars
 import time
 from contextlib import contextmanager
+
+from .observation import CURRENT, installed
 
 
 def epoch_relative(timestamp, epoch, scale=1.0):
@@ -160,20 +161,17 @@ def _jsonable(value):
 
 # -- the ambient tracer ----------------------------------------------------------
 
-_ACTIVE = contextvars.ContextVar("repro_obs_tracer", default=None)
-
-
 def active_tracer():
-    """The tracer installed by the innermost :func:`tracing` scope, or
-    ``None`` — tracing is off by default."""
-    return _ACTIVE.get()
+    """The tracer of the installed observation, or ``None`` — tracing
+    is off by default."""
+    return CURRENT.get().tracer
 
 
 def current_span_name():
     """The name of the innermost open span, or ``None`` when tracing is
     off (or no span is open) — the flight recorder stamps this on every
     event to correlate the two exports."""
-    tracer = _ACTIVE.get()
+    tracer = CURRENT.get().tracer
     if tracer is None or not tracer._stack:
         return None
     return tracer._stack[-1].name
@@ -184,18 +182,15 @@ def tracing(tracer=None):
     """Install ``tracer`` (a fresh one when omitted) as the ambient
     tracer for the ``with`` body and yield it."""
     tr = tracer if tracer is not None else Tracer()
-    token = _ACTIVE.set(tr)
-    try:
+    with installed(tracer=tr):
         yield tr
-    finally:
-        _ACTIVE.reset(token)
 
 
 @contextmanager
 def span(name, **attributes):
     """Open a span under the current one and yield it; a no-op null
     span when no tracer is installed."""
-    tracer = _ACTIVE.get()
+    tracer = CURRENT.get().tracer
     if tracer is None:
         yield NULL_SPAN
         return

@@ -15,24 +15,24 @@ import math
 
 from scipy import stats
 
+from .. import obs
 from ..core.errors import AnalysisError
 from ..core.rng import ensure_rng
-from ..obs.flight import active_recorder
+from ..obs import flight
 from ..obs.metrics import active, collecting, incr
-from ..obs.progress import heartbeat
 from ..obs.trace import span
 
 
-def _flight_sample_estimate(recorder, z, done, successes):
-    """One ``smc.estimate`` time-series point: running mean plus a
-    cheap normal-approximation interval (the exact Clopper–Pearson
-    interval is reserved for the final estimate — beta quantiles per
-    checkpoint would dwarf the runs being measured)."""
+def _checkpoint_estimate(z, done, runs, successes):
+    """One ``smc.estimate`` checkpoint: running mean plus a cheap
+    normal-approximation interval (the exact Clopper–Pearson interval
+    is reserved for the final estimate — beta quantiles per checkpoint
+    would dwarf the runs being measured)."""
     p = successes / done
     half = z * math.sqrt(p * (1.0 - p) / done)
-    recorder.sample("smc.estimate", mean=round(p, 6),
-                    low=round(max(0.0, p - half), 6),
-                    high=round(min(1.0, p + half), 6))
+    obs.checkpoint("smc.estimate", done, total=runs, mean=round(p, 6),
+                   low=round(max(0.0, p - half), 6),
+                   high=round(min(1.0, p + half), 6))
 
 
 class ProbabilityEstimate:
@@ -187,9 +187,7 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
     """
     _require_executor("estimate_probability", executor, fault_policy,
                       checkpoint)
-    recorder = active_recorder()
-    z = stats.norm.ppf(0.5 + confidence / 2) if recorder is not None \
-        else None
+    z = stats.norm.ppf(0.5 + confidence / 2)
     with span("smc.estimate_probability", runs=runs) as sp:
         if executor is None:
             rng = ensure_rng(rng)
@@ -198,17 +196,11 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
                 if run_once(rng):
                     successes += 1
                 if (index + 1) & 63 == 0:
-                    heartbeat("smc.estimate", index + 1, total=runs,
-                              successes=successes)
-                    if recorder is not None:
-                        _flight_sample_estimate(recorder, z, index + 1,
-                                                successes)
+                    _checkpoint_estimate(z, index + 1, runs, successes)
             done = runs
             incr("smc.runs", runs)
             incr("smc.accepted", successes)
-            if recorder is not None:
-                recorder.log("smc.estimate.done", runs=done,
-                             successes=successes)
+            flight.log("smc.estimate.done", runs=done, successes=successes)
             sp.set("successes", successes)
             return ProbabilityEstimate(successes, done, confidence)
 
@@ -232,24 +224,17 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
             tasks = [(run_once, chunk) for chunk in chunks[completed:]]
             for outcomes in executor.imap(run_batch, tasks,
                                           policy=fault_policy):
-                if recorder is None:
-                    successes += sum(outcomes)
-                    done += len(outcomes)
-                else:
-                    # Walk the outcomes run by run so the in-flight
-                    # series samples at the same ``done & 63 == 0``
-                    # positions as the serial loop — the sample *count*
-                    # is then executor-independent.
-                    for outcome in outcomes:
-                        done += 1
-                        if outcome:
-                            successes += 1
-                        if done & 63 == 0:
-                            _flight_sample_estimate(recorder, z, done,
-                                                    successes)
+                # Walk the outcomes run by run so the checkpoints fall
+                # at the same ``done & 63 == 0`` positions as in the
+                # serial loop: the flight series then has the same
+                # sample count for every executor.
+                for outcome in outcomes:
+                    done += 1
+                    if outcome:
+                        successes += 1
+                    if done & 63 == 0:
+                        _checkpoint_estimate(z, done, runs, successes)
                 completed += 1
-                heartbeat("smc.estimate", done, total=runs,
-                          successes=successes)
                 if checkpoint is not None and checkpoint.due(completed):
                     checkpoint.save(fingerprint,
                                     {"batch": completed,
@@ -258,9 +243,7 @@ def estimate_probability(run_once, runs, rng=None, confidence=0.95,
                                     inner.snapshot())
             incr("smc.runs", done)
             incr("smc.accepted", successes)
-            if recorder is not None:
-                recorder.log("smc.estimate.done", runs=done,
-                             successes=successes)
+            flight.log("smc.estimate.done", runs=done, successes=successes)
         _campaign_finish(checkpoint, inner, outer)
         sp.set("successes", successes)
     return ProbabilityEstimate(successes, done, confidence)
@@ -277,26 +260,21 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
     the batching.
     """
     _require_executor("estimate_mean", executor, fault_policy, checkpoint)
-    recorder = active_recorder()
-    total = 0.0
     with span("smc.estimate_mean", runs=runs):
         if executor is None:
             rng = ensure_rng(rng)
             samples = []
+            running = 0.0
             for index in range(runs):
                 value = run_once(rng)
                 samples.append(value)
-                if recorder is not None:
-                    total += value
+                running += value
                 if (index + 1) & 63 == 0:
-                    heartbeat("smc.estimate_mean", index + 1, total=runs)
-                    if recorder is not None:
-                        recorder.sample(
-                            "smc.estimate_mean",
-                            mean=round(total / (index + 1), 6))
+                    obs.checkpoint("smc.estimate_mean", index + 1,
+                                   total=runs,
+                                   mean=round(running / (index + 1), 6))
             incr("smc.runs", runs)
-            if recorder is not None:
-                recorder.log("smc.estimate_mean.done", runs=runs)
+            flight.log("smc.estimate_mean.done", runs=runs)
             return MeanEstimate(samples, confidence)
 
         from ..runtime import batched, sample_batch, seed_stream
@@ -314,32 +292,25 @@ def estimate_mean(run_once, runs, rng=None, confidence=0.95,
         with scope:
             completed = state["batch"]
             samples = list(state["samples"])
-            # The running total is maintained only with a recorder
-            # active (seeded here for checkpoint resume) — the
-            # recorder-off path keeps its bulk extend.
-            total = sum(samples) if recorder is not None else 0.0
+            running = sum(samples)
             tasks = [(run_once, chunk) for chunk in chunks[completed:]]
             for values in executor.imap(sample_batch, tasks,
                                         policy=fault_policy):
-                if recorder is None:
-                    samples.extend(values)
-                else:
-                    for value in values:
-                        samples.append(value)
-                        total += value
-                        if len(samples) & 63 == 0:
-                            recorder.sample(
-                                "smc.estimate_mean",
-                                mean=round(total / len(samples), 6))
+                for value in values:
+                    samples.append(value)
+                    running += value
+                    if len(samples) & 63 == 0:
+                        obs.checkpoint("smc.estimate_mean", len(samples),
+                                       total=runs,
+                                       mean=round(running / len(samples),
+                                                  6))
                 completed += 1
-                heartbeat("smc.estimate_mean", len(samples), total=runs)
                 if checkpoint is not None and checkpoint.due(completed):
                     checkpoint.save(fingerprint,
                                     {"batch": completed,
                                      "samples": samples},
                                     inner.snapshot())
             incr("smc.runs", len(samples))
-            if recorder is not None:
-                recorder.log("smc.estimate_mean.done", runs=len(samples))
+            flight.log("smc.estimate_mean.done", runs=len(samples))
         _campaign_finish(checkpoint, inner, outer)
     return MeanEstimate(samples, confidence)

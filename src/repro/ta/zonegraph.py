@@ -48,7 +48,7 @@ from .transitions import (
     has_urgent_sync,
 )
 
-#: Default bound on the successor / transition / deadlock caches.  Each
+#: Bound on the successor / transition / deadlock caches.  Each
 #: entry is a handful of machine words; 64k entries comfortably cover
 #: the benchmark models while bounding memory on adversarial ones.
 DEFAULT_CACHE_SIZE = 1 << 16
@@ -142,16 +142,13 @@ class ZoneGraphStats:
 class ZoneGraph:
     """On-the-fly symbolic transition system of a network.
 
-    ``cache_size`` bounds the successor cache (``0`` disables caching,
-    ``None`` leaves it unbounded); ``intern_zones=False`` switches the
-    hash-consing layer off (then the successor cache is disabled too,
-    since its keys rely on zone identity).  ``abstraction`` selects the
-    finite abstraction (see the module docstring); ``extrapolate=False``
-    is kept as a back-compatible alias for ``abstraction="none"``.
+    ``intern_zones=False`` switches the hash-consing layer off, and with
+    it the successor and deadlock caches, whose keys rely on zone
+    identity.  ``abstraction`` selects the finite abstraction (see the
+    module docstring).
     """
 
-    def __init__(self, network, extrapolate=True, extra_constants=None,
-                 intern_zones=True, cache_size=DEFAULT_CACHE_SIZE,
+    def __init__(self, network, extra_constants=None, intern_zones=True,
                  abstraction="lu+"):
         # Imported here (not at module top) to avoid the package cycle
         # repro.ta -> repro.mc -> repro.mc.engine -> repro.ta.zonegraph.
@@ -160,8 +157,6 @@ class ZoneGraph:
         self.network = network.freeze()
         if abstraction not in ("lu+", "k", "none"):
             raise ModelError(f"unknown abstraction {abstraction!r}")
-        if not extrapolate:
-            abstraction = "none"
         bounds = None
         if abstraction == "lu+":
             bounds = network_bounds(self.network, extra_constants)
@@ -172,16 +167,16 @@ class ZoneGraph:
                 bounds = None
         self.abstraction = abstraction
         self._bounds = bounds
-        self.extrapolate = abstraction != "none"
         self._max_constants = (network.max_constants(extra_constants)
                                if abstraction == "k" else None)
         self.stats = ZoneGraphStats()
         self.zone_store = ZoneStore() if intern_zones else None
-        caching = intern_zones and cache_size != 0
-        self.succ_cache = LRUCache(cache_size) if caching else None
+        self.succ_cache = LRUCache(DEFAULT_CACHE_SIZE) \
+            if intern_zones else None
         #: Memoised ``deadlocked_part`` results (see repro.mc.deadlock).
-        self.deadlock_cache = LRUCache(cache_size) if caching else None
-        self._trans_cache = LRUCache(cache_size)
+        self.deadlock_cache = LRUCache(DEFAULT_CACHE_SIZE) \
+            if intern_zones else None
+        self._trans_cache = LRUCache(DEFAULT_CACHE_SIZE)
         # Invariant atoms encoded once per (process, location): the
         # (i, j, bound) triples never change, so the per-zone work in
         # _apply_invariants is just the constrain calls themselves.
@@ -241,7 +236,7 @@ class ZoneGraph:
             lowers, uppers = bounds.lu_for(locs)
             zone.extrapolate_lu(lowers, uppers)
             stats.lu_extrapolated += 1
-        elif self.extrapolate:
+        elif self._max_constants is not None:
             zone.extrapolate(self._max_constants)
         return zone
 
@@ -277,10 +272,6 @@ class ZoneGraph:
         config = _Config(transitions, fires, no_delay)
         self._trans_cache.put(key, config)
         return config
-
-    def _transitions_for(self, locs, valuation):
-        """Candidate transitions of a discrete configuration, memoised."""
-        return self._config_for(locs, valuation).transitions
 
     # -- transition system ------------------------------------------------------
 

@@ -14,35 +14,11 @@ from hypothesis import strategies as st
 from repro.mc import EF, LocationIs, Verifier
 from repro.mdp import reachability_probability
 from repro.pta import PTA, PTANetwork, build_digital_mdp, DigitalSimulator
-from repro.ta import Automaton, DiscreteSemantics, Network, clk
+from repro.ta import DiscreteSemantics, Network, clk
+from strategies import random_closed_ta
 
 
 # -- random closed single-clock automata ----------------------------------------
-
-@st.composite
-def random_closed_ta(draw):
-    """A random closed, diagonal-free, single-clock automaton."""
-    n_locs = draw(st.integers(min_value=2, max_value=5))
-    automaton = Automaton("R", clocks=["x"])
-    for i in range(n_locs):
-        if draw(st.booleans()):
-            bound = draw(st.integers(min_value=1, max_value=6))
-            automaton.add_location(f"L{i}",
-                                   invariant=[clk("x", "<=", bound)])
-        else:
-            automaton.add_location(f"L{i}")
-    n_edges = draw(st.integers(min_value=1, max_value=7))
-    for _ in range(n_edges):
-        source = f"L{draw(st.integers(0, n_locs - 1))}"
-        target = f"L{draw(st.integers(0, n_locs - 1))}"
-        guard = []
-        if draw(st.booleans()):
-            op = draw(st.sampled_from([">=", "<="]))
-            guard.append(clk("x", op, draw(st.integers(0, 6))))
-        resets = [("x", 0)] if draw(st.booleans()) else []
-        automaton.add_edge(source, target, guard=guard, resets=resets)
-    return automaton
-
 
 def reachable_locations_zone(automaton):
     network = Network()

@@ -11,7 +11,6 @@ successor-cache layer on or off.
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.errors import ModelError, ReproError, SearchLimitError
 from repro.mc import (
@@ -31,7 +30,8 @@ from repro.models.traingate import make_traingate
 from repro.obs.metrics import collecting
 from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.dbm import DBM
-from repro.ta import Automaton, Network, ZoneGraph, clk
+from repro.ta import Network, ZoneGraph
+from strategies import random_automata
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +179,10 @@ def _run(engine, network, **kwargs):
     since they legitimately visit fewer states.
     """
     if engine == "reference":
-        graph = ZoneGraph(network, intern_zones=False, cache_size=0,
-                          abstraction="k")
+        graph = ZoneGraph(network, intern_zones=False, abstraction="k")
         search = reference_explore
     elif engine == "uncached":
-        graph = ZoneGraph(network, intern_zones=False, cache_size=0,
-                          abstraction="k")
+        graph = ZoneGraph(network, intern_zones=False, abstraction="k")
         search = explore
         kwargs = dict(kwargs, evict_waiting=False)
     else:
@@ -249,34 +247,8 @@ class TestEngineEquivalence:
         dfs = explore(ZoneGraph(make_fischer(3), abstraction="k"),
                       order="dfs", evict_waiting=False)
         ref = reference_explore(
-            ZoneGraph(make_fischer(3), intern_zones=False, cache_size=0,
-                      abstraction="k"))
+            ZoneGraph(make_fischer(3), intern_zones=False, abstraction="k"))
         assert dfs.states_stored == ref.states_stored
-
-
-@st.composite
-def random_automata(draw):
-    """Small random diagonal-free timed automata (1-2 clocks)."""
-    clocks = ["x", "y"][:draw(st.integers(1, 2))]
-    n_locs = draw(st.integers(2, 4))
-    a = Automaton("R", clocks=clocks)
-    for i in range(n_locs):
-        invariant = []
-        if draw(st.booleans()):
-            invariant = [clk(draw(st.sampled_from(clocks)), "<=",
-                             draw(st.integers(1, 5)))]
-        a.add_location(f"l{i}", invariant=invariant)
-    for _ in range(draw(st.integers(1, 6))):
-        guard = []
-        if draw(st.booleans()):
-            guard = [clk(draw(st.sampled_from(clocks)),
-                         draw(st.sampled_from(["<=", ">=", "<", ">"])),
-                         draw(st.integers(0, 5)))]
-        resets = [(c, 0) for c in clocks if draw(st.booleans())]
-        a.add_edge(f"l{draw(st.integers(0, n_locs - 1))}",
-                   f"l{draw(st.integers(0, n_locs - 1))}",
-                   guard=guard, resets=resets)
-    return a
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,7 +317,7 @@ class TestAbstractionEquivalence:
     @pytest.mark.parametrize("make", MODELS)
     def test_lu_visits_no_more_states(self, make):
         ref = reference_explore(ZoneGraph(make(), intern_zones=False,
-                                          cache_size=0, abstraction="k"))
+                                          abstraction="k"))
         lu, _ = _configs(ZoneGraph(make(), abstraction="lu+"))
         assert lu.states_stored <= ref.states_stored
         assert lu.states_explored <= ref.states_explored

@@ -16,23 +16,36 @@ from repro.mc import EF, LocationIs, Verifier, explore, trace_stats
 from repro.models.traingate import cross_predicate, make_traingate
 from repro.obs import (
     Collector,
+    FlightRecorder,
     ProgressEvent,
     Tracer,
     active,
     active_tracer,
+    checkpoint,
     collecting,
+    flight,
     heartbeat,
     incr,
     observe,
+    profile_record,
+    profiling,
     progress,
+    recording,
     set_gauge,
     span,
     timed,
     tracing,
 )
+from repro.obs.observation import CURRENT, EMPTY
 from repro.obs.report import SCHEMA_VERSION, Report, check_files, validate
 from repro.obs.trace import NULL_SPAN
-from repro.runtime import ParallelExecutor, SerialExecutor, Spec
+from repro.runtime import (
+    FaultInjector,
+    FaultPolicy,
+    ParallelExecutor,
+    SerialExecutor,
+    Spec,
+)
 from repro.smc import probability_estimate
 from repro.ta import ZoneGraph
 
@@ -444,6 +457,96 @@ class TestParallelMetricsEquivalence:
         assert snap["counters"]["runtime.tasks"] >= 1
         assert snap["histograms"]["runtime.task_seconds"]["count"] == \
             snap["counters"]["runtime.tasks"]
+
+
+# Module-level task (picklable): one deterministic fact per seed on
+# every shipped channel — a counter, a manual profile sample, a flight
+# event — plus one checkpoint per batch.
+
+def observed_probe(seeds):
+    for seed in seeds:
+        incr("probe.runs")
+        profile_record(("probe.run", f"probe.leaf{seed % 3}"))
+        flight.log("probe.seed", seed=seed)
+    checkpoint("probe", len(seeds), seed_sum=sum(seeds))
+    return sum(seeds)
+
+
+PROBE_BATCHES = [(list(range(i * 4, i * 4 + 4)),) for i in range(8)]
+
+
+def observed_channels(executor, policy=None):
+    """``(results, metrics, profile stacks, events, series)`` of the
+    probe batches run with collector, profiler and recorder all on."""
+    with collecting() as collector, profiling(hz=0) as profiler, \
+            recording(FlightRecorder(rss_interval=None)) as recorder:
+        results = list(executor.imap(observed_probe, PROBE_BATCHES,
+                                     policy=policy))
+    data = recorder.to_dict()
+    return (results, _logical(collector.snapshot()),
+            profiler.profile.to_dict()["stacks"],
+            flight.logical_events(data["events"]),
+            flight.logical_series(data["series"]))
+
+
+class TestObservation:
+    def test_one_context_variable(self):
+        import contextvars
+        import importlib
+        import pkgutil
+
+        import repro.obs
+
+        found = []
+        for info in pkgutil.iter_modules(repro.obs.__path__):
+            module = importlib.import_module(f"repro.obs.{info.name}")
+            found += [value for value in vars(module).values()
+                      if isinstance(value, contextvars.ContextVar)]
+        assert len(set(map(id, found))) == 1
+
+    def test_installers_set_one_field_and_restore(self):
+        assert CURRENT.get() is EMPTY
+        tracer = Tracer()
+        with collecting() as collector:
+            with tracing(tracer):
+                assert (active(), active_tracer()) == (collector, tracer)
+                with collecting() as inner:
+                    assert (active(), active_tracer()) == (inner, tracer)
+                assert active() is collector
+            assert active_tracer() is None
+        assert CURRENT.get() is EMPTY
+
+    def test_checkpoint_feeds_progress_and_flight(self):
+        assert checkpoint("x", 1, gauge=2) is None
+        events = []
+        with progress(events.append, min_interval=0.0), \
+                recording(FlightRecorder(rss_interval=None)) as recorder:
+            checkpoint("x", 5, total=10, gauge=2, other=3)
+        assert [(e.kind, e.done, e.total, e.info) for e in events] == \
+            [("x", 5, 10, {"gauge": 2, "other": 3})]
+        assert flight.logical_series(recorder.to_dict()["series"]) == \
+            {"x.gauge": 1, "x.other": 1}
+
+
+class TestOneSnapshotEquivalence:
+    """Collector, profiler and flight recorder on at once: every
+    channel of the one worker snapshot merges to the serial content,
+    also after fault recovery."""
+
+    def test_serial_parallel_fault_recovered_identical(self, pool2):
+        serial = observed_channels(SerialExecutor())
+        parallel = observed_channels(pool2)
+        policy = FaultPolicy(max_retries=2, backoff=0.0,
+                             injector=FaultInjector(kill={1},
+                                                    raises={3}))
+        with ParallelExecutor(workers=2) as faulty:
+            recovered = observed_channels(faulty, policy=policy)
+        results, metrics, stacks, events, series = serial
+        assert results == [sum(batch[0]) for batch in PROBE_BATCHES]
+        assert metrics == {"probe.runs": 32}
+        assert sum(stacks.values()) == 32
+        assert len(events) == 32 and series == {"probe.seed_sum": 8}
+        assert serial == parallel == recovered
 
 
 class TestDemoSession:
